@@ -1,25 +1,13 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace wadp::sim {
 namespace {
-
-/// Near-bucket lookahead: events this close to "now" skip the heap and
-/// take the O(1) append path.  One second comfortably covers the fluid
-/// engine's hot events (sub-RTT ramp steps, micro-quantum wake-ups)
-/// while keeping the bucket's lazy sorts small — campaign-scale sleeps
-/// (minutes to hours) still go to the heap.
-constexpr Duration kNearWindow = 1.0;
-
-/// Compaction floor: tombstones must outnumber live events AND this
-/// floor before a rebuild, so tiny simulations don't compact on every
-/// other cancel.  Bounds queue memory at 2 * live + kCompactFloor.
-constexpr std::size_t kCompactFloor = 64;
 
 /// Engine-wide counters (one process may run several Simulators; the
 /// totals aggregate across them, which is what capacity planning wants).
@@ -34,12 +22,6 @@ struct SimMetrics {
   obs::Counter& cancelled = obs::Registry::global().counter(
       "wadp_sim_events_cancelled_total", {},
       "Events cancelled before firing");
-  obs::Counter& fastpath = obs::Registry::global().counter(
-      "wadp_sim_events_fastpath_total", {},
-      "Events scheduled via the O(1) immediate/near tiers");
-  obs::Counter& compactions = obs::Registry::global().counter(
-      "wadp_sim_compactions_total", {},
-      "Tombstone compactions of any simulator's event queue");
   obs::Counter& batches = obs::Registry::global().counter(
       "wadp_sim_batches_total", {},
       "run_batch lookahead windows drained");
@@ -52,34 +34,75 @@ struct SimMetrics {
 
 }  // namespace
 
+void Simulator::place(std::size_t pos, const Entry& entry) {
+  heap_[pos] = entry;
+  slots_[entry.slot].pos = static_cast<std::uint32_t>(pos);
+}
+
+void Simulator::sift_up(std::size_t pos, const Entry& entry) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!entry.before(heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, entry);
+}
+
+void Simulator::sift_down(std::size_t pos, const Entry& entry) {
+  const std::size_t size = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && heap_[child + 1].before(heap_[child])) ++child;
+    if (!heap_[child].before(entry)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, entry);
+}
+
+void Simulator::erase_at(std::size_t pos) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // the erased entry was the last one
+  if (pos > 0 && last.before(heap_[(pos - 1) / 2])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
+  }
+}
+
+Simulator::Handler Simulator::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.pos = kNotQueued;
+  s.generation = detail::next_generation(s.generation);
+  free_slots_.push_back(slot);
+  return std::exchange(s.handler, nullptr);
+}
+
 EventId Simulator::enqueue(SimTime when, Handler handler) {
   SimMetrics::get().scheduled.inc();
-  const EventId id = next_id_++;
-  const Event ev{.when = when, .seq = next_seq_++, .id = id};
-  if (when == now_) {
-    immediate_.push_back(ev);  // O(1): fires this instant, FIFO order
-    SimMetrics::get().fastpath.inc();
-  } else if (when - now_ <= kNearWindow) {
-    // O(1) append; the bucket stays "sorted" only while appends keep
-    // descending toward the minimum at the back (rare) — otherwise it
-    // re-sorts lazily on the next pop.
-    if (near_sorted_ && !near_.empty() && !(near_.back() > ev)) {
-      near_sorted_ = false;
-    }
-    near_.push_back(ev);
-    SimMetrics::get().fastpath.inc();
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    WADP_CHECK_MSG(slots_.size() < kNotQueued, "event slots exhausted");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   } else {
-    heap_.push_back(ev);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
-  handlers_.emplace(id, std::move(handler));
-  return id;
+  slots_[slot].handler = std::move(handler);
+  heap_.emplace_back();  // the hole sift_up starts from
+  sift_up(heap_.size() - 1,
+          Entry{.when = when, .seq = next_seq_++, .slot = slot});
+  return EventId{slots_[slot].generation} << 32 | slot;
 }
 
 EventId Simulator::schedule_at(SimTime when, Handler handler) {
-  // A NaN `when` would silently poison every ordering comparison below
-  // (NaN compares false against everything), so it is rejected here
-  // rather than corrupting the queue.
+  // A NaN `when` would silently poison every ordering comparison in the
+  // heap (NaN compares false against everything), so it is rejected
+  // here rather than corrupting the queue.
   WADP_CHECK_MSG(std::isfinite(when), "non-finite event time");
   WADP_CHECK_MSG(when >= now_, "cannot schedule into the past");
   WADP_CHECK(handler != nullptr);
@@ -94,99 +117,26 @@ EventId Simulator::schedule_after(Duration delay, Handler handler) {
 }
 
 bool Simulator::cancel(EventId id) {
-  const auto it = handlers_.find(id);
-  if (it == handlers_.end()) return false;
-  handlers_.erase(it);
-  ++cancelled_pending_;
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return false;
+  const Slot& s = slots_[slot];
+  if (s.generation != id >> 32 || s.pos == kNotQueued) return false;
+  erase_at(s.pos);
+  // Destroyed on return, once the slot is consistent again: a captured
+  // object's destructor may schedule or cancel events.
+  const Handler cancelled = release(slot);
   SimMetrics::get().cancelled.inc();
-  // Lazy deletion is bounded: once tombstones outnumber live events the
-  // tiers are rebuilt, so schedule/cancel churn (a long-armed
-  // PeriodicTask::stop, per-flow reschedules) cannot grow the queue
-  // without bound.
-  if (cancelled_pending_ > handlers_.size() &&
-      cancelled_pending_ >= kCompactFloor) {
-    compact();
-  }
   return true;
 }
 
-void Simulator::compact() {
-  const auto dead = [this](const Event& ev) {
-    return !handlers_.contains(ev.id);
-  };
-  std::erase_if(immediate_, dead);
-  std::erase_if(near_, dead);
-  std::erase_if(heap_, dead);
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  cancelled_pending_ = 0;
-  ++compactions_;
-  SimMetrics::get().compactions.inc();
-}
-
-void Simulator::sort_near() {
-  if (near_sorted_) return;
-  // Descending (when, seq): the minimum sits at the back for O(1) pops.
-  std::sort(near_.begin(), near_.end(),
-            [](const Event& a, const Event& b) { return a > b; });
-  near_sorted_ = true;
-}
-
-void Simulator::prune_fronts() {
-  while (!immediate_.empty() && !handlers_.contains(immediate_.front().id)) {
-    immediate_.pop_front();
-    --cancelled_pending_;
-  }
-  sort_near();
-  while (!near_.empty() && !handlers_.contains(near_.back().id)) {
-    near_.pop_back();
-    --cancelled_pending_;
-  }
-  while (!heap_.empty() && !handlers_.contains(heap_.front().id)) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-    --cancelled_pending_;
-  }
-}
-
-const Simulator::Event* Simulator::peek_min() const {
-  const Event* best = nullptr;
-  const auto consider = [&best](const Event* candidate) {
-    if (candidate != nullptr && (best == nullptr || *best > *candidate)) {
-      best = candidate;
-    }
-  };
-  consider(immediate_.empty() ? nullptr : &immediate_.front());
-  consider(near_.empty() ? nullptr : &near_.back());
-  consider(heap_.empty() ? nullptr : &heap_.front());
-  return best;
-}
-
-std::optional<SimTime> Simulator::next_event_time() {
-  prune_fronts();
-  const Event* min = peek_min();
-  return min == nullptr ? std::nullopt : std::optional<SimTime>(min->when);
-}
-
 bool Simulator::fire_next() {
-  prune_fronts();
-  const Event* min = peek_min();
-  if (min == nullptr) return false;
-  const Event ev = *min;
-  if (!immediate_.empty() && min == &immediate_.front()) {
-    immediate_.pop_front();
-  } else if (!near_.empty() && min == &near_.back()) {
-    near_.pop_back();
-  } else {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-  }
-  const auto it = handlers_.find(ev.id);
-  WADP_CHECK(it != handlers_.end());  // fronts were pruned to live events
-  now_ = ev.when;
-  // Move the handler out before invoking: the handler may schedule or
-  // cancel events, invalidating iterators.
-  Handler handler = std::move(it->second);
-  handlers_.erase(it);
+  if (heap_.empty()) return false;
+  const Entry top = heap_.front();
+  erase_at(0);
+  now_ = top.when;
+  // Free the slot before invoking: the handler may schedule (reusing the
+  // slot, growing slots_) or cancel events.
+  const Handler handler = release(top.slot);
   SimMetrics::get().executed.inc();
   handler();
   return true;
@@ -200,10 +150,7 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::drain_until(SimTime deadline) {
   std::size_t executed = 0;
-  for (;;) {
-    prune_fronts();
-    const Event* min = peek_min();
-    if (min == nullptr || min->when > deadline) break;
+  while (!heap_.empty() && heap_.front().when <= deadline) {
     fire_next();
     ++executed;
   }

@@ -13,18 +13,20 @@
 // The event core is built for grid-scale event rates (hundreds of
 // sites, thousands of links, tens of thousands of concurrent flows):
 //
-//   * three tiers — an *immediate* FIFO for events at the current
-//     instant (O(1) push/pop; the zero-delay callbacks that dominate
-//     protocol glue), a *near* bucket for events within a short
-//     lookahead window (O(1) append, sorted lazily on first pop; the
-//     fluid engine's ramp steps and completion wake-ups), and a binary
-//     heap for everything farther out;
-//   * cancellation is O(1) lazy deletion (the handler index is the
-//     source of truth), and the core *compacts* — rebuilds the tiers
-//     without tombstones — whenever cancelled entries outnumber live
-//     events, so a long-armed cancel pattern (PeriodicTask::stop,
-//     per-flow completion reschedules) can never grow the queue without
-//     bound;
+//   * one binary min-heap of (when, seq, slot) entries, ordered by
+//     (when, seq).  seq is unique, so the firing order is total and
+//     schedule, fire and cancel each cost O(log n);
+//   * handlers live in a slot vector recycled through a free list; each
+//     slot records its heap position, so cancel() removes the event
+//     from the heap at once.  No dead entry is ever queued, so
+//     queued_entries() == pending_events() by construction, whatever
+//     the schedule/cancel pattern (PeriodicTask::stop, per-flow
+//     completion reschedules);
+//   * an EventId is (slot generation << 32 | slot).  A slot's generation
+//     advances each time the slot is freed, so a fired or cancelled id
+//     never matches the slot's next event, and it starts at 1 and skips
+//     0 when it wraps, so no id is ever 0 — callers use 0 for "no
+//     event";
 //   * run_batch(horizon) drains every event inside a lookahead window
 //     in one pass — the timestep-batched shape tt-npe-style flow
 //     simulators use, and the natural hook for a later parallel engine
@@ -32,18 +34,26 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "util/types.hpp"
 
 namespace wadp::sim {
 
-/// Identifies a scheduled event so it can be cancelled.
+/// Identifies a scheduled event so it can be cancelled.  Never 0.
 using EventId = std::uint64_t;
+
+namespace detail {
+
+/// The generation a slot takes when it is freed.  Skips 0 on wrap, so no
+/// EventId is ever 0.
+constexpr std::uint32_t next_generation(std::uint32_t generation) {
+  return generation == UINT32_MAX ? 1 : generation + 1;
+}
+
+}  // namespace detail
 
 class Simulator {
  public:
@@ -61,15 +71,12 @@ class Simulator {
   /// Schedules `handler` at absolute time `when` (>= now, finite).
   EventId schedule_at(SimTime when, Handler handler);
 
-  /// Schedules `handler` after `delay` (>= 0) simulated seconds.  Takes
-  /// the O(1) fast path for the common near-future case (zero delay or
-  /// within the near-bucket window).
+  /// Schedules `handler` after `delay` (>= 0, finite) simulated seconds.
   EventId schedule_after(Duration delay, Handler handler);
 
   /// Cancels a pending event.  Returns false when the event already
-  /// fired, was cancelled, or never existed.  O(1); dead queue entries
-  /// are skipped on pop and compacted away when they outnumber live
-  /// events.
+  /// fired, was cancelled, or never existed.  O(log n): the event leaves
+  /// the heap at once.
   bool cancel(EventId id);
 
   /// Runs events until the queue empties.  Returns events executed.
@@ -89,71 +96,59 @@ class Simulator {
   bool step();
 
   /// Live (non-cancelled) scheduled events.
-  std::size_t pending_events() const { return handlers_.size(); }
+  std::size_t pending_events() const { return heap_.size(); }
 
-  /// Time of the earliest live event, or nullopt when idle.  Prunes
-  /// tombstones encountered at the queue fronts.
-  std::optional<SimTime> next_event_time();
-
-  /// Queue entries currently held, live + not-yet-pruned tombstones.
-  /// Bounded by compaction: never exceeds 2 * live + compaction floor.
-  std::size_t queued_entries() const {
-    return immediate_.size() + near_.size() + heap_.size();
+  /// Time of the earliest live event, or nullopt when idle.
+  std::optional<SimTime> next_event_time() const {
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().when;
   }
 
-  /// Tombstone compactions performed (tests / capacity planning).
-  std::uint64_t compactions() const { return compactions_; }
+  /// Queue entries currently held.  Cancelled events leave the heap at
+  /// once, so this always equals pending_events().
+  std::size_t queued_entries() const { return heap_.size(); }
 
  private:
-  struct Event {
+  struct Entry {
     SimTime when;
     std::uint64_t seq;  // tie-break: FIFO among same-time events
-    EventId id;
-    bool operator>(const Event& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
+    std::uint32_t slot;
+    bool before(const Entry& other) const {
+      return when < other.when || (when == other.when && seq < other.seq);
     }
   };
 
-  /// Tier an event at `when` and return its id; the O(1) fast paths
-  /// append to the immediate FIFO / near bucket, the general case heaps.
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+
+  struct Slot {
+    Handler handler;
+    std::uint32_t generation = 1;  // never 0, so no EventId is 0
+    std::uint32_t pos = kNotQueued;  // heap index while queued
+  };
+
   EventId enqueue(SimTime when, Handler handler);
-
-  /// Drops cancelled entries from each tier's front so the fronts are
-  /// live (or the tiers empty).
-  void prune_fronts();
-
-  /// Points at the live minimum event across the three tiers; call
-  /// prune_fronts() first.  Nullptr when idle.
-  const Event* peek_min() const;
-
-  /// Rebuilds all tiers without tombstones.
-  void compact();
-
   bool fire_next();
   std::size_t drain_until(SimTime deadline);
 
-  /// Ensures the near bucket is sorted descending (minimum at back).
-  void sort_near();
+  /// Stores `entry` at heap index `pos` and records that index in its
+  /// slot.
+  void place(std::size_t pos, const Entry& entry);
+  /// Moves `entry` from the hole at `pos` toward the root / the leaves
+  /// until heap order holds, then places it.
+  void sift_up(std::size_t pos, const Entry& entry);
+  void sift_down(std::size_t pos, const Entry& entry);
+  /// Removes the heap entry at `pos`, refilling the hole with the last
+  /// entry.
+  void erase_at(std::size_t pos);
+  /// Returns a dequeued slot to the free list under a new generation and
+  /// hands back its handler.
+  Handler release(std::uint32_t slot);
 
   SimTime now_;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-
-  // Tier 1: events at exactly now_ (seq order = FIFO order).
-  std::deque<Event> immediate_;
-  // Tier 2: events within kNearWindow of their scheduling instant;
-  // appended O(1), sorted descending on demand so the min pops O(1).
-  std::vector<Event> near_;
-  bool near_sorted_ = true;
-  // Tier 3: binary min-heap (std::push_heap / pop_heap with >).
-  std::vector<Event> heap_;
-
-  // Handlers live outside the queue so cancel() is O(1); a cancelled id
-  // simply has no handler when popped.
-  std::unordered_map<EventId, Handler> handlers_;
-  std::size_t cancelled_pending_ = 0;
-  std::uint64_t compactions_ = 0;
+  std::vector<Entry> heap_;  // binary min-heap on (when, seq)
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 /// Periodic task helper: re-schedules itself every `period` seconds
