@@ -210,11 +210,10 @@ std::optional<Bandwidth> PredictionService::predict(
   std::optional<Bandwidth> answer;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    {
-      auto update = span.child("predict.battery_update");
-      update.set_attr("EPOCH", static_cast<std::int64_t>(snapshot.epoch()));
-    }
+    auto update = span.child("predict.battery_update");
+    update.set_attr("EPOCH", static_cast<std::int64_t>(snapshot.epoch()));
     const BatteryState& state = catch_up(key, snapshot);
+    update.end();
     auto answer_span = span.child("predict.answer");
     answer = predict_at(key, state, snapshot, *index,
                         predict::Query{.time = now, .file_size = size});

@@ -200,6 +200,10 @@ std::optional<WalEntry> decode_entry(std::string_view payload) {
       (!reader.f64(r.disk_throughput) || !reader.f64(r.net_probe))) {
     return std::nullopt;
   }
+  // A checksum-valid frame can still carry a record no decoder may
+  // accept (the writer was fed one, or the bytes were forged); the
+  // shared validity rule refuses it like corruption.
+  if (!r.valid()) return std::nullopt;
   // Trailing bytes are a future field from a same-version writer that
   // appended to the encoding; ignore them.
   return entry;

@@ -105,8 +105,9 @@ struct WalEntry {
 /// fields; see docs/DURABILITY.md for the exact field order).
 std::string encode_entry(const WalEntry& entry);
 
-/// Decodes a payload.  nullopt when the payload is cut mid-field or
-/// carries an unknown (newer major) record version.  Trailing bytes
+/// Decodes a payload.  nullopt when the payload is cut mid-field,
+/// carries an unknown (newer major) record version, or decodes to a
+/// record that fails gridftp::TransferRecord::valid().  Trailing bytes
 /// beyond the known fields are ignored.
 std::optional<WalEntry> decode_entry(std::string_view payload);
 

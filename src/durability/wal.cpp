@@ -345,7 +345,8 @@ ReplayStats WriteAheadLog::replay(const std::string& dir, const EntryFn& fn) {
             const auto entry = decode_entry(payload);
             if (!entry) {
               // Checksum-valid but undecodable: a version we do not
-              // know.  Treat like corruption — refuse, do not guess.
+              // know, or a record that fails the validity rule.  Treat
+              // like corruption — refuse, do not guess.
               torn.inc();
               ++stats.torn_frames;
               refused = true;

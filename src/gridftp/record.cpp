@@ -1,6 +1,7 @@
 #include "gridftp/record.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -26,6 +27,14 @@ Bandwidth TransferRecord::bandwidth() const {
   const Duration t = total_time();
   WADP_CHECK_MSG(t > 0.0, "record with non-positive duration");
   return static_cast<double>(file_size) / t;
+}
+
+bool TransferRecord::valid() const {
+  return std::isfinite(start_time) && std::isfinite(end_time) &&
+         end_time > start_time && streams >= 1 && tcp_buffer > 0 &&
+         (file_size > 0 || !ok) && std::isfinite(disk_throughput) &&
+         disk_throughput >= 0.0 && std::isfinite(net_probe) &&
+         net_probe >= 0.0;
 }
 
 util::UlmRecord TransferRecord::to_ulm() const {
@@ -78,10 +87,9 @@ std::optional<TransferRecord> TransferRecord::from_ulm(
   }
   const auto op = operation_from_string(*op_str);
   if (!op) return std::nullopt;
-  const auto result = ulm.get("RESULT");
-  const bool ok_flag = !result.has_value() || !util::iequals(*result, "fail");
-  if (*size < 0 || (ok_flag && *size == 0) || *end <= *start ||
-      *streams < 1 || *buffer <= 0) {
+  // Range checks for the narrowing casts below; valid() judges the rest.
+  if (*size < 0 || *buffer < 0 || *streams < 0 ||
+      *streams > std::numeric_limits<int>::max()) {
     return std::nullopt;
   }
 
@@ -95,21 +103,23 @@ std::optional<TransferRecord> TransferRecord::from_ulm(
   r.op = *op;
   r.streams = static_cast<int>(*streams);
   r.tcp_buffer = static_cast<Bytes>(*buffer);
-  r.ok = ok_flag;
+  const auto result = ulm.get("RESULT");
+  r.ok = !result.has_value() || !util::iequals(*result, "fail");
   const auto trace = ulm.get_int("TRACE");
   if (trace && *trace > 0) r.trace_id = static_cast<std::uint64_t>(*trace);
   // DISK=/PROBE= are optional (format version: absent on pre-regression
   // logs); a present-but-invalid value rejects the line.
   if (ulm.get("DISK")) {
     const auto disk = ulm.get_double("DISK");
-    if (!disk || !std::isfinite(*disk) || *disk < 0.0) return std::nullopt;
+    if (!disk) return std::nullopt;
     r.disk_throughput = *disk * static_cast<double>(kKB);
   }
   if (ulm.get("PROBE")) {
     const auto probe = ulm.get_double("PROBE");
-    if (!probe || !std::isfinite(*probe) || *probe < 0.0) return std::nullopt;
+    if (!probe) return std::nullopt;
     r.net_probe = *probe * static_cast<double>(kKB);
   }
+  if (!r.valid()) return std::nullopt;
   return r;
 }
 

@@ -71,9 +71,15 @@ struct TransferRecord {
   /// ULM encoding (one line).  Keys follow the Fig. 3 column names.
   util::UlmRecord to_ulm() const;
 
+  /// The record-validity rule every decoder applies (ULM lines and WAL
+  /// frames): start and end finite with end > start; streams >= 1 and
+  /// buffer > 0; size > 0 unless the transfer failed (a failed attempt
+  /// may have moved nothing); DISK and PROBE finite and non-negative.
+  /// A valid record has a positive duration, so bandwidth() is defined.
+  bool valid() const;
+
   /// Inverse of to_ulm; nullopt when required fields are missing or
-  /// inconsistent (end before start; zero size, unless the record is
-  /// tagged RESULT=fail — a failed attempt may have moved nothing).
+  /// unparseable, or the record is not valid().
   static std::optional<TransferRecord> from_ulm(const util::UlmRecord& ulm);
 
   bool operator==(const TransferRecord&) const = default;

@@ -37,7 +37,7 @@ struct NetMetrics {
       "wadp_net_flows_completed_total", {}, "Flows completed on any engine");
   obs::Counter& reallocs = obs::Registry::global().counter(
       "wadp_net_reallocs_total", {},
-      "Applied max-min waterfill passes (incremental or global)");
+      "Applied max-min waterfill passes over dirty components");
   obs::Counter& realloc_flows = obs::Registry::global().counter(
       "wadp_net_realloc_flows_total", {},
       "Flow entries recomputed across waterfill passes");
@@ -45,12 +45,7 @@ struct NetMetrics {
       "wadp_net_realloc_ns_total", {},
       "Wall nanoseconds spent in applied waterfill passes");
   obs::Counter& sweeps = obs::Registry::global().counter(
-      "wadp_net_sweeps_total", {},
-      "Lazy-mode dirty-set coalescing sweeps");
-  obs::Counter& verify_mismatches = obs::Registry::global().counter(
-      "wadp_net_verify_mismatches_total", {},
-      "Incremental-allocator rates diverging from the reference "
-      "recompute — the net.verify_mismatch SLO rule watches this");
+      "wadp_net_sweeps_total", {}, "Same-instant dirty-set coalescing sweeps");
   obs::Gauge& active = obs::Registry::global().gauge(
       "wadp_net_active_flows", {}, "Currently active flows");
   obs::Gauge& util_max = obs::Registry::global().gauge(
@@ -63,6 +58,13 @@ struct NetMetrics {
     return metrics;
   }
 };
+
+/// A flow is finished when its residue is below kCompletionEpsilon or
+/// would drain within one time quantum — the engine cannot schedule
+/// anything finer.
+bool drained(double remaining, Bandwidth rate) {
+  return remaining <= kCompletionEpsilon || remaining <= rate * kTimeQuantum;
+}
 
 }  // namespace
 
@@ -92,8 +94,6 @@ FlowId FluidEngine::start_flow(FlowSpec spec) {
   WADP_CHECK_MSG(spec.streams >= 1, "flow needs at least one stream");
   WADP_CHECK_MSG(spec.buffer > 0, "flow needs a socket buffer");
 
-  if (!config_.lazy_progress) advance_to(sim_.now());
-
   const SimTime now = sim_.now();
   const FlowId id = next_id_++;
   Flow flow;
@@ -110,13 +110,7 @@ FlowId FluidEngine::start_flow(FlowSpec spec) {
 
   NetMetrics::get().started.inc();
   NetMetrics::get().active.set(static_cast<double>(flows_.size()));
-
-  if (config_.lazy_progress) {
-    request_sweep();
-  } else {
-    realloc_dirty(now);
-    schedule_next();
-  }
+  request_sweep();
   return id;
 }
 
@@ -124,21 +118,14 @@ void FluidEngine::register_flow(FlowId id, Flow&& flow) {
   const auto [it, inserted] = flows_.emplace(id, std::move(flow));
   WADP_CHECK(inserted);
   Flow& f = it->second;
-  const SimTime now = sim_.now();
   for_each_resource(f, [&](CapacityProvider* r, double) {
     auto [rit, fresh] = resources_.try_emplace(r);
     ResourceState& state = rit->second;
-    if (fresh) {
-      state.capacity_cached = r->capacity_at(now);
-      if (config_.lazy_progress) arm_load_event(r, state);
-    }
+    if (fresh) arm_load_event(r, state);
     state.members.push_back(id);
-    if (!state.dirty) {
-      state.dirty = true;
-      dirty_resources_.push_back(r);
-    }
+    mark_dirty(r, state);
   });
-  if (config_.lazy_progress && f.ramp_rtts_total > 0) arm_ramp(id, f);
+  if (f.ramp_rtts_total > 0) arm_ramp(id, f);
 }
 
 void FluidEngine::unlink_flow(FlowId id, Flow& f) {
@@ -153,9 +140,8 @@ void FluidEngine::unlink_flow(FlowId id, Flow& f) {
       r->on_allocation(now, 0.0);
       if (state.load_ev != 0) sim_.cancel(state.load_ev);
       resources_.erase(rit);
-    } else if (!state.dirty) {
-      state.dirty = true;
-      dirty_resources_.push_back(r);
+    } else {
+      mark_dirty(r, state);
     }
   });
   if (f.completion_ev != 0) {
@@ -168,30 +154,27 @@ void FluidEngine::unlink_flow(FlowId id, Flow& f) {
   }
 }
 
+void FluidEngine::mark_dirty(CapacityProvider* resource,
+                             ResourceState& state) {
+  if (state.dirty) return;
+  state.dirty = true;
+  dirty_resources_.push_back(resource);
+}
+
 void FluidEngine::mark_resources_dirty(const Flow& f) {
   for_each_resource(f, [&](CapacityProvider* r, double) {
     const auto rit = resources_.find(r);
-    if (rit == resources_.end()) return;
-    if (!rit->second.dirty) {
-      rit->second.dirty = true;
-      dirty_resources_.push_back(r);
-    }
+    if (rit != resources_.end()) mark_dirty(r, rit->second);
   });
 }
 
 bool FluidEngine::cancel_flow(FlowId id) {
-  if (!config_.lazy_progress) advance_to(sim_.now());
   const auto it = flows_.find(id);
   if (it == flows_.end()) return false;
   unlink_flow(id, it->second);
   flows_.erase(it);
   NetMetrics::get().active.set(static_cast<double>(flows_.size()));
-  if (config_.lazy_progress) {
-    request_sweep();
-  } else {
-    realloc_dirty(sim_.now());
-    schedule_next();
-  }
+  request_sweep();
   return true;
 }
 
@@ -201,15 +184,10 @@ Bandwidth FluidEngine::current_rate(FlowId id) const {
 }
 
 std::optional<FluidEngine::FlowProgress> FluidEngine::progress(FlowId id) {
-  if (!config_.lazy_progress) {
-    advance_to(sim_.now());
-  } else {
-    const auto lit = flows_.find(id);
-    if (lit != flows_.end()) integrate_flow(id, lit->second, sim_.now());
-  }
   const auto it = flows_.find(id);
   if (it == flows_.end()) return std::nullopt;
-  const Flow& f = it->second;
+  Flow& f = it->second;
+  integrate_flow(f, sim_.now());
   FlowProgress p;
   p.total = f.spec.size;
   const auto remaining = static_cast<Bytes>(std::max(0.0, f.remaining));
@@ -220,152 +198,16 @@ std::optional<FluidEngine::FlowProgress> FluidEngine::progress(FlowId id) {
 
 std::optional<FluidEngine::FlowProgress> FluidEngine::interrupt_flow(
     FlowId id) {
-  if (!config_.lazy_progress) advance_to(sim_.now());
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return std::nullopt;
-  Flow& f = it->second;
-  if (config_.lazy_progress) integrate_flow(id, f, sim_.now());
-  FlowProgress p;
-  p.total = f.spec.size;
-  const auto remaining = static_cast<Bytes>(std::max(0.0, f.remaining));
-  p.moved = f.spec.size > remaining ? f.spec.size - remaining : 0;
-  p.rate = f.rate;
-  unlink_flow(id, f);
-  flows_.erase(it);
-  NetMetrics::get().active.set(static_cast<double>(flows_.size()));
-  if (config_.lazy_progress) {
-    request_sweep();
-  } else {
-    realloc_dirty(sim_.now());
-    schedule_next();
-  }
+  const auto p = progress(id);
+  if (!p) return std::nullopt;
+  cancel_flow(id);
   return p;
-}
-
-// ---------------------------------------------------------------------
-// Eager mode: whole-engine integration and a single pending wake-up.
-// This is the original engine's schedule, preserved bit-identically.
-
-void FluidEngine::advance_to(SimTime t) {
-  if (flows_.empty()) {
-    last_update_ = t;
-    return;
-  }
-  const Duration elapsed = t - last_update_;
-  WADP_CHECK(elapsed >= 0.0);
-  last_update_ = t;
-  if (elapsed == 0.0) return;
-
-  struct Completion {
-    FlowStats stats;
-    std::function<void(const FlowStats&)> callback;
-  };
-  std::vector<Completion> done;
-
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    Flow& f = it->second;
-    f.remaining -= f.rate * elapsed;
-    // A flow also completes when its residue would drain within one
-    // time quantum — the engine cannot schedule anything finer.
-    if (f.remaining <= kCompletionEpsilon ||
-        f.remaining <= f.rate * kTimeQuantum) {
-      FlowStats stats;
-      stats.id = it->first;
-      stats.start = f.start;
-      stats.end = t;
-      stats.bytes = f.spec.size;
-      unlink_flow(it->first, f);
-      done.push_back({stats, std::move(f.spec.on_complete)});
-      it = flows_.erase(it);
-      ++completed_;
-      NetMetrics::get().completed.inc();
-    } else {
-      ++it;
-    }
-  }
-  NetMetrics::get().active.set(static_cast<double>(flows_.size()));
-
-  // Callbacks run after bookkeeping so they can start new flows safely.
-  for (auto& c : done) {
-    if (c.callback) c.callback(c.stats);
-  }
-}
-
-void FluidEngine::scan_for_changes(SimTime t) {
-  // A resource is dirty when its available capacity moved off the value
-  // used by its component's last waterfill; a flow when its TCP cap
-  // crossed a slow-start boundary.  Components with no change recompute
-  // to the identical rates, so skipping them is exact.
-  for (auto& [r, state] : resources_) {
-    const double capacity = r->capacity_at(t);
-    if (capacity != state.capacity_cached) {
-      state.capacity_cached = capacity;
-      if (!state.dirty) {
-        state.dirty = true;
-        dirty_resources_.push_back(r);
-      }
-    }
-  }
-  for (auto& [id, f] : flows_) {
-    if (flow_cap(f, t) != f.cached_cap) mark_resources_dirty(f);
-  }
-}
-
-void FluidEngine::schedule_next() {
-  if (pending_wake_ != 0) {
-    sim_.cancel(pending_wake_);
-    pending_wake_ = 0;
-  }
-  if (flows_.empty()) return;
-
-  const SimTime now = sim_.now();
-  SimTime next = kNeverTime;
-
-  std::vector<const CapacityProvider*> seen;
-  for (const auto& [id, f] : flows_) {
-    // Earliest completion at current rate (never below the quantum).
-    if (f.rate > 0.0) {
-      next = std::min(next, now + std::max(f.remaining / f.rate, kTimeQuantum));
-    }
-    // Next slow-start doubling (only while ramping).
-    const Duration elapsed = now - f.start;
-    const Duration rtt = f.rtt;
-    const int rtts_done = elapsed_rtts(rtt, elapsed);
-    if (rtts_done < f.ramp_rtts_total) {
-      const SimTime ramp_next = f.start + (rtts_done + 1) * rtt;
-      if (ramp_next > now) next = std::min(next, ramp_next);
-    }
-    // Resource load-grid changes.
-    for_each_resource(f, [&](const CapacityProvider* r, double) {
-      for (const CapacityProvider* s : seen) {
-        if (s == r) return;
-      }
-      seen.push_back(r);
-      next = std::min(next, r->next_change_after(now));
-    });
-  }
-
-  if (next == kNeverTime) return;
-  // Guard against zero-length self-wake loops from float coincidences.
-  if (next <= now + kTimeQuantum) next = now + kTimeQuantum;
-  pending_wake_ = sim_.schedule_at(next, [this] {
-    pending_wake_ = 0;
-    wake();
-  });
-}
-
-void FluidEngine::wake() {
-  advance_to(sim_.now());
-  scan_for_changes(sim_.now());
-  realloc_dirty(sim_.now());
-  schedule_next();
 }
 
 // ---------------------------------------------------------------------
 // Allocation: dirty-component collection and the max-min waterfill.
 
-void FluidEngine::collect_dirty_components(
-    std::vector<FlowId>& ids, std::vector<CapacityProvider*>& resources) {
+void FluidEngine::collect_dirty_components(std::vector<FlowId>& ids) {
   ++visit_epoch_;
   std::unordered_set<FlowId> visited_flows;
   std::vector<CapacityProvider*> stack;
@@ -381,7 +223,6 @@ void FluidEngine::collect_dirty_components(
     while (!stack.empty()) {
       CapacityProvider* r = stack.back();
       stack.pop_back();
-      resources.push_back(r);
       for (const FlowId id : resources_.at(r).members) {
         if (!visited_flows.insert(id).second) continue;
         ids.push_back(id);
@@ -400,21 +241,19 @@ void FluidEngine::collect_dirty_components(
     }
   }
   dirty_resources_.clear();
-  // Ascending FlowId: matches the reference allocator's map iteration,
-  // which keeps the waterfill arithmetic order-identical.
+  // Ascending FlowId: matches the reference's map iteration, which
+  // keeps the waterfill arithmetic order-identical.
   std::sort(ids.begin(), ids.end());
 }
 
-FluidEngine::WaterfillResult FluidEngine::waterfill(
-    const std::vector<FlowId>& ids, SimTime t, bool apply,
-    std::vector<double>* scratch) {
-  WaterfillResult result;
-  result.flows = ids.size();
-  if (ids.empty()) return result;
+void FluidEngine::waterfill(const std::vector<FlowId>& ids, SimTime t,
+                            std::vector<double>* scratch) {
+  if (ids.empty()) return;
 
-  // Resources indexed by first touch over flows in id order — the
-  // iteration order the original global allocator used, preserved so
-  // float accumulation is bit-identical.
+  // Entries follow `ids` (ascending FlowId), so every per-resource sum
+  // adds the same flows in the same order whether `ids` is one
+  // component or every flow: the incremental pass and the global
+  // reference agree bit for bit.
   std::vector<CapacityProvider*> resources;
   std::unordered_map<CapacityProvider*, std::size_t> resource_index;
   const auto index_of = [&](CapacityProvider* r) {
@@ -493,67 +332,14 @@ FluidEngine::WaterfillResult FluidEngine::waterfill(
     WADP_CHECK_MSG(fixed_any, "max-min allocation failed to converge");
   }
 
-  if (apply) {
-    for (Entry& e : entries) {
-      e.flow->rate = e.rate;
-      e.flow->cached_cap = e.cap;
-    }
+  if (scratch == nullptr) {
+    for (Entry& e : entries) e.flow->rate = e.rate;
   } else {
-    WADP_CHECK(scratch != nullptr);
     scratch->resize(entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
       (*scratch)[i] = entries[i].rate;
     }
   }
-  return result;
-}
-
-void FluidEngine::realloc_dirty(SimTime t) {
-  if (dirty_resources_.empty()) return;
-  if (flows_.empty()) {
-    for (CapacityProvider* r : dirty_resources_) {
-      const auto it = resources_.find(r);
-      if (it != resources_.end()) it->second.dirty = false;
-    }
-    dirty_resources_.clear();
-    return;
-  }
-
-  std::vector<FlowId> ids;
-  std::vector<CapacityProvider*> touched;
-  if (config_.allocator == AllocatorKind::kReference) {
-    for (CapacityProvider* r : dirty_resources_) {
-      const auto it = resources_.find(r);
-      if (it != resources_.end()) it->second.dirty = false;
-    }
-    dirty_resources_.clear();
-    ids.reserve(flows_.size());
-    for (const auto& [id, f] : flows_) ids.push_back(id);
-    ++stats_.components;
-  } else {
-    collect_dirty_components(ids, touched);
-  }
-  if (ids.empty()) return;
-
-  const std::uint64_t begin = now_ns();
-  const WaterfillResult result = waterfill(ids, t, /*apply=*/true, nullptr);
-  const std::uint64_t ns = now_ns() - begin;
-  ++stats_.reallocs;
-  stats_.flows_touched += result.flows;
-  stats_.alloc_ns += ns;
-  NetMetrics::get().reallocs.inc();
-  NetMetrics::get().realloc_flows.inc(result.flows);
-  NetMetrics::get().realloc_ns.inc(ns);
-
-  if (config_.reference_sample_every > 0 &&
-      stats_.reallocs % config_.reference_sample_every == 0) {
-    reference_shadow(t, /*verify=*/false);
-  }
-  if (config_.verify_allocator &&
-      config_.allocator == AllocatorKind::kIncremental) {
-    reference_shadow(t, /*verify=*/true);
-  }
-  report_allocations(ids, t);
 }
 
 void FluidEngine::report_allocations(const std::vector<FlowId>& ids,
@@ -584,51 +370,31 @@ void FluidEngine::report_allocations(const std::vector<FlowId>& ids,
   }
 }
 
-void FluidEngine::reference_shadow(SimTime t, bool verify) {
-  if (flows_.empty()) return;
-  std::vector<FlowId> ids;
-  ids.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) ids.push_back(id);
-
-  std::vector<double> scratch;
-  const std::uint64_t begin = now_ns();
-  waterfill(ids, t, /*apply=*/false, &scratch);
-  stats_.reference_ns += now_ns() - begin;
-  ++stats_.reference_samples;
-  stats_.reference_flows += ids.size();
-
-  if (!verify) return;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const Flow& f = flows_.at(ids[i]);
-    if (f.rate != scratch[i]) {
-      ++stats_.verify_mismatches;
-      NetMetrics::get().verify_mismatches.inc();
-      if (first_mismatch_.empty()) {
-        first_mismatch_ = "flow " + std::to_string(ids[i]) + " at t=" +
-                          std::to_string(t) + ": incremental=" +
-                          std::to_string(f.rate) +
-                          " reference=" + std::to_string(scratch[i]);
-      }
-    }
-  }
-}
-
 std::size_t FluidEngine::compare_with_reference() {
   if (flows_.empty()) return 0;
+  const SimTime t = sim_.now();
   std::vector<FlowId> ids;
   ids.reserve(flows_.size());
   for (const auto& [id, f] : flows_) ids.push_back(id);
   std::vector<double> scratch;
-  waterfill(ids, sim_.now(), /*apply=*/false, &scratch);
+  waterfill(ids, t, &scratch);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (flows_.at(ids[i]).rate != scratch[i]) ++mismatches;
+    const Bandwidth live = flows_.at(ids[i]).rate;
+    if (live == scratch[i]) continue;
+    ++mismatches;
+    if (first_mismatch_.empty()) {
+      first_mismatch_ = "flow " + std::to_string(ids[i]) + " at t=" +
+                        std::to_string(t) +
+                        ": incremental=" + std::to_string(live) +
+                        " reference=" + std::to_string(scratch[i]);
+    }
   }
   return mismatches;
 }
 
 // ---------------------------------------------------------------------
-// Lazy mode: per-flow completion/ramp events, per-resource load events,
+// Progress: per-flow completion/ramp events, per-resource load events,
 // and a same-instant coalescing sweep.
 
 void FluidEngine::request_sweep() {
@@ -640,7 +406,7 @@ void FluidEngine::request_sweep() {
   sim_.schedule_at(sim_.now(), [this] { sweep(); });
 }
 
-void FluidEngine::integrate_flow(FlowId, Flow& f, SimTime t) {
+void FluidEngine::integrate_flow(Flow& f, SimTime t) {
   const Duration elapsed = t - f.integrated_to;
   if (elapsed <= 0.0) return;
   f.remaining -= f.rate * elapsed;
@@ -661,9 +427,8 @@ void FluidEngine::arm_completion(FlowId id, Flow& f) {
     WADP_CHECK(it != flows_.end());
     Flow& flow = it->second;
     flow.completion_ev = 0;
-    integrate_flow(id, flow, sim_.now());
-    if (flow.remaining <= kCompletionEpsilon ||
-        flow.remaining <= flow.rate * kTimeQuantum) {
+    integrate_flow(flow, sim_.now());
+    if (drained(flow.remaining, flow.rate)) {
       finish_flow(id, sim_.now());
     } else {
       arm_completion(id, flow);  // float residue: nudge forward
@@ -704,10 +469,7 @@ void FluidEngine::arm_load_event(CapacityProvider* resource,
     const auto it = resources_.find(resource);
     if (it == resources_.end()) return;  // deregistered meanwhile
     it->second.load_ev = 0;
-    if (!it->second.dirty) {
-      it->second.dirty = true;
-      dirty_resources_.push_back(resource);
-    }
+    mark_dirty(resource, it->second);
     request_sweep();
     arm_load_event(resource, it->second);
   });
@@ -740,34 +502,21 @@ void FluidEngine::sweep() {
   if (dirty_resources_.empty()) return;
 
   std::vector<FlowId> ids;
-  std::vector<CapacityProvider*> touched;
-  if (config_.allocator == AllocatorKind::kReference) {
-    for (CapacityProvider* r : dirty_resources_) {
-      const auto it = resources_.find(r);
-      if (it != resources_.end()) it->second.dirty = false;
-    }
-    dirty_resources_.clear();
-    ids.reserve(flows_.size());
-    for (const auto& [id, f] : flows_) ids.push_back(id);
-    ++stats_.components;
-  } else {
-    collect_dirty_components(ids, touched);
-  }
+  collect_dirty_components(ids);
   if (ids.empty()) return;
 
   // Bring the affected flows' byte counts to t; anything that drains in
   // the process completes after rates settle (callbacks last).
-  std::vector<FlowId> drained;
+  std::vector<FlowId> finished;
   std::vector<FlowId> live;
   live.reserve(ids.size());
   for (const FlowId id : ids) {
     const auto fit = flows_.find(id);
     if (fit == flows_.end()) continue;
     Flow& f = fit->second;
-    integrate_flow(id, f, t);
-    if (f.remaining <= kCompletionEpsilon ||
-        f.remaining <= f.rate * kTimeQuantum) {
-      drained.push_back(id);
+    integrate_flow(f, t);
+    if (drained(f.remaining, f.rate)) {
+      finished.push_back(id);
     } else {
       live.push_back(id);
     }
@@ -780,13 +529,13 @@ void FluidEngine::sweep() {
     }
 
     const std::uint64_t begin = now_ns();
-    const WaterfillResult result = waterfill(live, t, /*apply=*/true, nullptr);
+    waterfill(live, t, nullptr);
     const std::uint64_t ns = now_ns() - begin;
     ++stats_.reallocs;
-    stats_.flows_touched += result.flows;
+    stats_.flows_touched += live.size();
     stats_.alloc_ns += ns;
     NetMetrics::get().reallocs.inc();
-    NetMetrics::get().realloc_flows.inc(result.flows);
+    NetMetrics::get().realloc_flows.inc(live.size());
     NetMetrics::get().realloc_ns.inc(ns);
 
     for (std::size_t i = 0; i < live.size(); ++i) {
@@ -797,20 +546,16 @@ void FluidEngine::sweep() {
         arm_completion(live[i], f);
       }
     }
-
-    if (config_.reference_sample_every > 0 &&
-        stats_.reallocs % config_.reference_sample_every == 0) {
-      reference_shadow(t, /*verify=*/false);
-    }
-    if (config_.verify_allocator &&
-        config_.allocator == AllocatorKind::kIncremental) {
-      reference_shadow(t, /*verify=*/true);
-    }
     report_allocations(live, t);
   }
 
-  for (const FlowId id : drained) {
+  for (const FlowId id : finished) {
     if (flows_.contains(id)) finish_flow(id, t);
+  }
+  // A drained flow still holds its resources until finish_flow, and its
+  // completion queues another sweep: verify only a settled allocation.
+  if (config_.verify_allocator && !sweep_pending_) {
+    stats_.verify_mismatches += compare_with_reference();
   }
 }
 

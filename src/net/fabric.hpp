@@ -22,21 +22,20 @@
 // rate outside it.  The engine exploits that to make reallocation
 // *incremental*: every change (arrival, completion, ramp step, load
 // step) marks the resources it touches dirty, and only the connected
-// components reached from dirty resources are waterfilled again.  A
-// reference global-recompute allocator is retained both as a
-// correctness oracle (EngineConfig::verify_allocator) and as the
-// baseline the bench compares against.
+// components reached from dirty resources are waterfilled again.
 //
-// Two progress-bookkeeping modes:
-//   * eager (default) — every advance integrates every flow, and one
-//     pending wake-up covers the earliest completion/ramp/load instant.
-//     This is the original engine's schedule, kept bit-identical so the
-//     calibrated paper testbed reproduces its records exactly.
-//   * lazy (EngineConfig::lazy_progress) — per-flow completion and ramp
-//     events, per-resource load events, and same-instant dirty-set
-//     coalescing ("sweep") localize each event's cost to its component.
-//     This is the grid-scale mode: cost per event is proportional to
-//     the affected component, not to the total flow count.
+// Progress is lazy: each flow carries its own completion and ramp
+// events, each resource its next load-step event, and all changes of
+// one instant coalesce into a single "sweep" that integrates and
+// re-waterfills only the affected components.  Cost per event is
+// proportional to the component it touches, not to the total flow
+// count, so the paper's 3-site testbed and a 100-site grid run the same
+// engine.
+//
+// The global recompute survives only as the test reference:
+// compare_with_reference() waterfills every flow into scratch and
+// counts rates that differ from the live ones, and
+// EngineConfig::verify_allocator runs it after every settled sweep.
 #pragma once
 
 #include <cstdint>
@@ -87,22 +86,11 @@ struct FlowSpec {
   std::function<void(const FlowStats&)> on_complete;  ///< may be empty
 };
 
-/// Which allocator recomputes rates on a change.
-enum class AllocatorKind {
-  kIncremental,  ///< dirty-component waterfill (default)
-  kReference,    ///< global recompute on every change (oracle/baseline)
-};
-
 struct EngineConfig {
-  AllocatorKind allocator = AllocatorKind::kIncremental;
-  /// Per-flow/per-resource events instead of the eager single wake.
-  bool lazy_progress = false;
-  /// Shadow every incremental reallocation with a reference global
-  /// recompute and count rate mismatches (tests).
+  /// After every sweep that leaves the allocation settled (no flow
+  /// drained and no sweep pending), run compare_with_reference() and
+  /// add its count to AllocStats::verify_mismatches (tests).
   bool verify_allocator = false;
-  /// When > 0, every Nth reallocation also times (but does not apply) a
-  /// reference global recompute — the in-bench cost baseline.
-  std::uint32_t reference_sample_every = 0;
 };
 
 class FluidEngine {
@@ -126,10 +114,10 @@ class FluidEngine {
   /// Current allocated rate of an active flow (bytes/s); 0 if unknown.
   Bandwidth current_rate(FlowId id) const;
 
-  /// Instantaneous progress of an active flow (advances internal
-  /// bookkeeping to now first, which in eager mode may complete other
-  /// flows whose callbacks then fire).  nullopt once the flow completed
-  /// or never existed.  Basis for GridFTP performance markers.
+  /// Instantaneous progress of an active flow: integrates this flow's
+  /// bytes to now and touches no other flow, so no callback fires.
+  /// nullopt once the flow completed or never existed.  Basis for
+  /// GridFTP performance markers.
   struct FlowProgress {
     Bytes moved = 0;
     Bytes total = 0;
@@ -151,21 +139,20 @@ class FluidEngine {
     std::uint64_t reallocs = 0;       ///< waterfill passes
     std::uint64_t components = 0;     ///< dirty components recomputed
     std::uint64_t flows_touched = 0;  ///< flow entries across passes
-    std::uint64_t sweeps = 0;         ///< lazy-mode coalescing sweeps
+    std::uint64_t sweeps = 0;         ///< same-instant coalescing sweeps
     std::uint64_t alloc_ns = 0;       ///< wall time in applied waterfills
-    std::uint64_t reference_ns = 0;       ///< wall time in scratch recomputes
-    std::uint64_t reference_samples = 0;  ///< scratch recomputes taken
-    std::uint64_t reference_flows = 0;    ///< flow entries across scratch
     std::uint64_t verify_mismatches = 0;  ///< incremental != reference rates
   };
   const AllocStats& alloc_stats() const { return stats_; }
 
-  /// Description of the first verify-mode mismatch, empty when clean.
+  /// Description of the first mismatch compare_with_reference() found,
+  /// empty when clean.
   const std::string& first_mismatch() const { return first_mismatch_; }
 
-  /// Recomputes all rates globally (reference allocator) into a scratch
-  /// buffer and compares with the live rates; returns the number of
-  /// flows whose rate differs.  Test hook — does not modify state.
+  /// The test reference: recomputes every flow's rate globally into a
+  /// scratch buffer and compares with the live rates; returns the number
+  /// of flows whose rate differs.  Leaves the allocation untouched (it
+  /// only records first_mismatch()).
   std::size_t compare_with_reference();
 
  private:
@@ -180,19 +167,16 @@ class FluidEngine {
     /// the load level at establishment dominates its ramp behaviour.
     Duration rtt = 0.0;
     TcpParams tcp;           ///< copied from path or spec at start
-    double cached_cap = -1.0;  ///< flow_cap at the last waterfill
-    // Lazy mode only.
-    SimTime integrated_to = 0.0;
+    SimTime integrated_to = 0.0;  ///< `remaining` is exact at this instant
     sim::EventId completion_ev = 0;
     sim::EventId ramp_ev = 0;
   };
 
   struct ResourceState {
     std::vector<FlowId> members;
-    double capacity_cached = -1.0;  ///< capacity_at at last dirty scan
-    std::uint64_t visit_mark = 0;   ///< BFS epoch
+    std::uint64_t visit_mark = 0;  ///< BFS epoch
     bool dirty = false;
-    sim::EventId load_ev = 0;  ///< lazy mode: next load-grid step
+    sim::EventId load_ev = 0;  ///< next load-grid step
   };
 
   /// Invokes fn(provider, weight) for each resource the flow crosses,
@@ -201,49 +185,28 @@ class FluidEngine {
   template <typename Fn>
   static void for_each_resource(const Flow& f, Fn&& fn);
 
-  // -- shared bookkeeping --------------------------------------------
   void register_flow(FlowId id, Flow&& flow);
   /// Removes the flow from resource membership, marks its resources
-  /// dirty, and (lazy mode) cancels its events.  Does not erase it from
-  /// flows_.
+  /// dirty, and cancels its events.  Does not erase it from flows_.
   void unlink_flow(FlowId id, Flow& f);
+  void mark_dirty(CapacityProvider* resource, ResourceState& state);
   void mark_resources_dirty(const Flow& f);
 
-  /// Weighted max-min over `entries` (ascending FlowId order expected).
-  /// Writes rates into the flows when `apply`, into `scratch` otherwise.
-  struct WaterfillResult {
-    std::size_t flows = 0;
-  };
-  WaterfillResult waterfill(const std::vector<FlowId>& ids, SimTime t,
-                            bool apply, std::vector<double>* scratch);
-
-  /// Recomputes the connected components reached from dirty resources;
-  /// the incremental allocator's core.  No-op when nothing is dirty.
-  void realloc_dirty(SimTime t);
-  /// Expands dirty resources to full components; returns member flow
-  /// ids ascending and the component's resources.
-  void collect_dirty_components(std::vector<FlowId>& ids,
-                                std::vector<CapacityProvider*>& resources);
+  /// Weighted max-min over `ids` (ascending FlowId order expected).
+  /// Writes rates into the flows, or into `*scratch` when given.
+  void waterfill(const std::vector<FlowId>& ids, SimTime t,
+                 std::vector<double>* scratch);
+  /// Expands dirty resources to full components; returns their member
+  /// flow ids ascending.
+  void collect_dirty_components(std::vector<FlowId>& ids);
   /// Reports allocation sums to the touched resources' on_allocation.
   void report_allocations(const std::vector<FlowId>& ids, SimTime t);
-  /// Runs the reference global recompute into scratch (timing it) and,
-  /// in verify mode, compares with live rates.
-  void reference_shadow(SimTime t, bool verify);
 
-  // -- eager mode ----------------------------------------------------
-  /// Moves bytes for the elapsed interval and completes finished flows.
-  void advance_to(SimTime t);
-  /// Marks resources whose capacity changed and flows whose TCP cap
-  /// changed since the last waterfill (eager wake-ups).
-  void scan_for_changes(SimTime t);
-  /// Schedules the next wake-up (completion / ramp step / load change).
-  void schedule_next();
-  void wake();
-
-  // -- lazy mode -----------------------------------------------------
   void request_sweep();
+  /// Integrates and re-waterfills the components reached from dirty
+  /// resources, then completes flows that drained.
   void sweep();
-  void integrate_flow(FlowId id, Flow& f, SimTime t);
+  static void integrate_flow(Flow& f, SimTime t);
   /// (Re)schedules the flow's completion event from its current rate.
   void arm_completion(FlowId id, Flow& f);
   void arm_ramp(FlowId id, Flow& f);
@@ -261,8 +224,6 @@ class FluidEngine {
   std::unordered_map<CapacityProvider*, ResourceState> resources_;
   std::vector<CapacityProvider*> dirty_resources_;
   FlowId next_id_ = 1;
-  SimTime last_update_ = 0.0;
-  sim::EventId pending_wake_ = 0;
   bool sweep_pending_ = false;
   std::uint64_t visit_epoch_ = 0;
   std::uint64_t completed_ = 0;

@@ -235,21 +235,13 @@ void arm_arrival(GridWorld& world, const std::shared_ptr<ScenarioState>& st) {
 
 }  // namespace
 
-net::EngineConfig GridWorld::default_engine_config() {
-  net::EngineConfig config;
-  config.allocator = net::AllocatorKind::kIncremental;
-  config.lazy_progress = true;
-  return config;
-}
-
-GridWorld::GridWorld(const GridSpec& spec, std::uint64_t seed,
-                     net::EngineConfig engine_config)
+GridWorld::GridWorld(const GridSpec& spec, std::uint64_t seed)
     : sim_(spec.origin),
       // Structure and load processes get decorrelated seed streams.
       topology_(TopologyBuilder()
                     .random_grid(spec, seed)
                     .build(seed ^ 0x6f61dULL, spec.origin)),
-      engine_(sim_, engine_config) {}
+      engine_(sim_) {}
 
 GridWorld::Summary GridWorld::run(const ScenarioConfig& scenario,
                                   std::uint64_t seed) {

@@ -13,11 +13,11 @@
 //     so a given (layout, seed) pair is bit-reproducible.
 //
 //   * GridWorld — owns the simulated world (event core, topology,
-//     fluid engine in lazy/incremental mode) and drives a synthetic
-//     traffic scenario over it: uniform Poisson arrivals, a flash
-//     crowd converging on one hot sink site, or diurnally modulated
-//     arrivals correlated across sites.  This is the workload behind
-//     `wadp simgrid` and bench_netsim.
+//     fluid engine) and drives a synthetic traffic scenario over it:
+//     uniform Poisson arrivals, a flash crowd converging on one hot
+//     sink site, or diurnally modulated arrivals correlated across
+//     sites.  This is the workload behind `wadp simgrid` and
+//     bench_netsim.
 //
 // The calibrated paper testbed stays on the spec-driven Testbed class
 // (net::Topology with per-direction PathModels) — its records must
@@ -135,15 +135,10 @@ struct ScenarioConfig {
 };
 
 /// A self-contained grid-scale world: event core + random topology +
-/// fluid engine, defaulting to the lazy/incremental configuration
-/// (per-event cost proportional to the touched component).
+/// fluid engine (per-event cost proportional to the touched component).
 class GridWorld {
  public:
-  /// Lazy progress + incremental allocator — the grid-scale mode.
-  static net::EngineConfig default_engine_config();
-
-  GridWorld(const GridSpec& spec, std::uint64_t seed,
-            net::EngineConfig engine_config = default_engine_config());
+  GridWorld(const GridSpec& spec, std::uint64_t seed);
 
   GridWorld(const GridWorld&) = delete;
   GridWorld& operator=(const GridWorld&) = delete;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <string_view>
 
 namespace wadp::durability {
@@ -160,8 +162,10 @@ TEST(DurabilityCodecTest, OutOfOrderTimestampsRoundTripVerbatim) {
   // backwards (merged logs interleave) come back in write order with
   // the exact timestamps.
   auto first = full_record();
+  first.start_time = 1990.0;
   first.end_time = 2000.0;
   auto second = full_record();
+  second.start_time = 990.0;
   second.end_time = 1000.0;  // earlier than its predecessor
   const auto a = decode_entry(encode_entry(WalEntry{.lsn = 1, .record = first}));
   const auto b =
@@ -189,6 +193,43 @@ TEST(DurabilityCodecTest, UnknownVersionsAreRejected) {
   EXPECT_FALSE(decode_entry(payload).has_value());
   payload[0] = static_cast<char>(kRecordVersion + 1);  // from the future
   EXPECT_FALSE(decode_entry(payload).has_value());
+}
+
+TEST(DurabilityCodecTest, InvalidRecordsAreRejected) {
+  // A checksum-valid payload whose record fails the shared validity
+  // rule decodes to nothing, exactly as TransferRecord::from_ulm
+  // refuses the same record as a log line.
+  using Record = gridftp::TransferRecord;
+  const auto decodes = [](const Record& r) {
+    return decode_entry(encode_entry(WalEntry{.lsn = 1, .record = r}))
+        .has_value();
+  };
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, void (*)(Record&)> cases[] = {
+      {"zero duration", [](Record& r) { r.end_time = r.start_time; }},
+      {"NaN start", [](Record& r) { r.start_time = kNan; }},
+      {"infinite end", [](Record& r) { r.end_time = kInf; }},
+      {"no streams", [](Record& r) { r.streams = 0; }},
+      {"no buffer", [](Record& r) { r.tcp_buffer = 0; }},
+      {"empty success",
+       [](Record& r) {
+         r.ok = true;
+         r.file_size = 0;
+       }},
+      {"negative DISK", [](Record& r) { r.disk_throughput = -1.0; }},
+      {"NaN PROBE", [](Record& r) { r.net_probe = kNan; }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    Record r = full_record();
+    mutate(r);
+    EXPECT_FALSE(r.valid()) << name;
+    EXPECT_FALSE(decodes(r)) << name;
+  }
+
+  Record failed = full_record();  // ok = false
+  failed.file_size = 0;           // a failed attempt may move nothing
+  EXPECT_TRUE(decodes(failed));
 }
 
 TEST(DurabilityCodecTest, TruncatedPayloadsAreRejectedAtEveryCut) {

@@ -217,6 +217,38 @@ TEST(RecoveryTest, TornWalTailRecoversThePrefixCleanly) {
   EXPECT_EQ(recovered->snapshot(key).size(), 11u);
 }
 
+TEST(RecoveryTest, ChecksumValidFrameWithAnInvalidRecordIsRefused) {
+  // A frame whose CRC is right but whose record has zero duration once
+  // decoded and then aborted recovery in TransferRecord::bandwidth()
+  // when the store adapted it.  It now takes the torn-frame path.
+  const auto root = scratch("invalid_record");
+  auto store = std::make_shared<history::HistoryStore>(dedup_config());
+  DurabilityManager manager(store, durability_config(root));
+  manager.attach();
+  for (int i = 0; i < 12; ++i) {
+    store->append(record(1000.0 + 25.0 * i, "140.221.65.69", 60'000 + i));
+  }
+  manager.flush();
+
+  auto bad = record(2000.0, "140.221.65.69", 61'000);
+  bad.start_time = bad.end_time;
+  std::string frame_bytes;
+  append_framed_entry(frame_bytes, 13, bad);
+  const auto segments = WriteAheadLog::list_segments(wal_dir(root));
+  ASSERT_FALSE(segments.empty());
+  std::ofstream out(segments.back(), std::ios::binary | std::ios::app);
+  out.write(frame_bytes.data(), static_cast<std::streamsize>(frame_bytes.size()));
+  out.close();
+
+  auto recovered = std::make_shared<history::HistoryStore>(dedup_config());
+  const auto stats = DurabilityManager::recover(root, *recovered);
+  ASSERT_TRUE(stats.ok()) << stats.error();
+  EXPECT_EQ(stats.value().torn_frames, 1u);
+  EXPECT_EQ(stats.value().records_applied, 12u);
+  const auto key = history::series_key_for(record(0.0, "140.221.65.69", 0));
+  EXPECT_EQ(recovered->snapshot(key).size(), 12u);
+}
+
 TEST(RecoveryTest, AttachBackfillAfterRecoveryIsIdempotent) {
   const auto root = scratch("attach");
   auto store = std::make_shared<history::HistoryStore>(dedup_config());

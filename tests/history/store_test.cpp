@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gridftp/log.hpp"
 #include "history/adapter.hpp"
 #include "obs/metrics.hpp"
 
@@ -51,6 +52,26 @@ TEST(HistoryStoreTest, UnknownKeySnapshotsInvalid) {
   EXPECT_TRUE(snap.empty());
   EXPECT_EQ(snap.size(), 0u);
   EXPECT_EQ(store.epoch(key_a()), 0u);
+}
+
+TEST(HistoryStoreTest, NonFiniteLogTimesAreSkippedBeforeIngest) {
+  // std::from_chars parses "nan" and "inf", and `end <= start` is false
+  // for NaN: a START=nan line once parsed, then aborted in
+  // TransferRecord::bandwidth() when append adapted it.
+  std::string text;
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    for (const char* field : {"START", "END"}) {
+      auto ulm = record(1000.0, 10 * kMB).to_ulm();
+      ulm.set(field, value);
+      text += ulm.to_line() + "\n";
+    }
+  }
+  text += record(1000.0, 10 * kMB).to_ulm().to_line() + "\n";
+  const auto parsed = gridftp::TransferLog::parse_ulm_text(text);
+  HistoryStore store(quiet());
+  for (const auto& r : parsed.records) store.append(r);
+  EXPECT_EQ(parsed.skipped, 6u);
+  EXPECT_EQ(store.total_observations(), 1u);
 }
 
 TEST(HistoryStoreTest, AppendsAccumulateInOrder) {

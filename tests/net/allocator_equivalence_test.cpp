@@ -1,18 +1,23 @@
 // Property tests for the incremental max-min allocator: under ANY
 // randomized mix of flow arrivals, cancellations, and background-load
-// steps on the paper's three-site topology, the dirty-component
-// allocator must produce rates bit-identical to the retained reference
-// global recompute.  Weighted max-min decomposes exactly across
-// connected components, so any divergence is a bug, not float noise.
+// steps, the dirty-component allocator must produce rates bit-identical
+// to the global recompute (FluidEngine::compare_with_reference).
+// Weighted max-min decomposes exactly across connected components, so
+// any divergence is a bug, not float noise.  verify_allocator checks
+// every settled sweep, on the paper's three-site paths and on link-list
+// routes over a seeded random grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
 #include "net/fabric.hpp"
 #include "net/path.hpp"
+#include "net/topology.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "workload/gridworld.hpp"
 
 namespace wadp::net {
 namespace {
@@ -46,21 +51,45 @@ void add_paper_paths(Topology& topology, util::Rng& seeder, SimTime origin) {
   }
 }
 
-struct Completion {
-  SimTime at = 0.0;
-  Bytes bytes = 0;
-};
+/// Size of the largest group of `routes` connected by shared links.
+std::size_t largest_component(
+    const std::map<FlowId, std::vector<CapacityProvider*>>& routes) {
+  std::map<FlowId, bool> seen;
+  std::size_t largest = 0;
+  for (const auto& [root, unused] : routes) {
+    if (seen[root]) continue;
+    seen[root] = true;
+    std::vector<FlowId> stack{root};
+    std::size_t size = 0;
+    while (!stack.empty()) {
+      const auto& mine = routes.at(stack.back());
+      stack.pop_back();
+      ++size;
+      for (const auto& [other, links] : routes) {
+        if (seen[other]) continue;
+        const bool shares = std::any_of(
+            links.begin(), links.end(), [&](CapacityProvider* link) {
+              return std::find(mine.begin(), mine.end(), link) != mine.end();
+            });
+        if (!shares) continue;
+        seen[other] = true;
+        stack.push_back(other);
+      }
+    }
+    largest = std::max(largest, size);
+  }
+  return largest;
+}
 
-/// Runs one randomized churn scenario and returns completions keyed by
-/// arrival index.  The schedule (arrival times, sizes, streams, cancel
-/// times) depends only on `seed`, so two engine configurations see the
-/// same offered load.
-std::map<int, Completion> run_churn(std::uint64_t seed, EngineConfig config,
-                                    FluidEngine::AllocStats* stats_out,
-                                    std::string* mismatch_out) {
+class AllocatorEquivalenceTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The paper's three-site paths, one PathModel resource per flow.
+TEST_P(AllocatorEquivalenceTest, ShadowVerifyFindsNoMismatch) {
+  const std::uint64_t seed = GetParam();
   const SimTime origin = 1'000'000'000.0;
   sim::Simulator sim(origin);
-  FluidEngine engine(sim, config);
+  FluidEngine engine(sim, {.verify_allocator = true});
   Topology topology;
   util::Rng seeder(seed);
   add_paper_paths(topology, seeder, origin);
@@ -73,7 +102,6 @@ std::map<int, Completion> run_churn(std::uint64_t seed, EngineConfig config,
   }
 
   util::Rng rng(seed ^ 0xc4u);
-  std::map<int, Completion> completions;
   const int kFlows = 48;
   for (int i = 0; i < kFlows; ++i) {
     PathModel* path = paths[static_cast<std::size_t>(
@@ -83,16 +111,10 @@ std::map<int, Completion> run_churn(std::uint64_t seed, EngineConfig config,
     const Duration start = rng.uniform(0.0, 400.0);
     const bool cancel = rng.uniform() < 0.25;
     const Duration cancel_after = rng.uniform(0.5, 40.0);
-    sim.schedule_after(start, [&, i, path, size, streams, cancel,
+    sim.schedule_after(start, [&, path, size, streams, cancel,
                                cancel_after] {
-      const FlowId id =
-          engine.start_flow({.path = path,
-                             .streams = streams,
-                             .size = size,
-                             .on_complete = [&completions, i](
-                                                const FlowStats& stats) {
-                               completions[i] = {stats.end, stats.bytes};
-                             }});
+      const FlowId id = engine.start_flow(
+          {.path = path, .streams = streams, .size = size});
       if (cancel) {
         sim.schedule_after(cancel_after, [&engine, id] {
           engine.cancel_flow(id);  // no-op if already complete
@@ -101,63 +123,99 @@ std::map<int, Completion> run_churn(std::uint64_t seed, EngineConfig config,
     });
   }
   sim.run();
-  if (stats_out != nullptr) *stats_out = engine.alloc_stats();
-  if (mismatch_out != nullptr) *mismatch_out = engine.first_mismatch();
-  EXPECT_EQ(engine.compare_with_reference(), 0u);
-  return completions;
-}
 
-class AllocatorEquivalenceTest
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(AllocatorEquivalenceTest, ShadowVerifyFindsNoMismatch) {
-  EngineConfig config;
-  config.allocator = AllocatorKind::kIncremental;
-  config.verify_allocator = true;
-  FluidEngine::AllocStats stats;
-  std::string mismatch;
-  run_churn(GetParam(), config, &stats, &mismatch);
-  EXPECT_EQ(stats.verify_mismatches, 0u) << mismatch;
+  const auto& stats = engine.alloc_stats();
+  EXPECT_EQ(stats.verify_mismatches, 0u) << engine.first_mismatch();
   EXPECT_GT(stats.reallocs, 0u);
 }
 
-TEST_P(AllocatorEquivalenceTest, IncrementalMatchesReferenceEndToEnd) {
-  EngineConfig incremental;
-  incremental.allocator = AllocatorKind::kIncremental;
-  EngineConfig reference;
-  reference.allocator = AllocatorKind::kReference;
+// Link-list routes over a seeded random grid: one-link flows and
+// two-link flows that bridge adjacent links, so sharing components grow
+// past a single link and the dirty-component expansion has to follow
+// flows across resources.
+TEST_P(AllocatorEquivalenceTest, GridChurnVerifyFindsNoMismatch) {
+  const std::uint64_t seed = GetParam();
+  const SimTime origin = 0.0;
+  workload::GridSpec spec;
+  spec.sites = 10;
+  spec.links = 16;
+  spec.load.ar_sigma = 0.08;
+  spec.load.grid_step = 5.0;  // step capacities often
+  const auto topology = workload::TopologyBuilder()
+                            .random_grid(spec, seed)
+                            .build(seed ^ 0x9du, origin);
+  const auto& links = topology->links();
 
-  const auto inc = run_churn(GetParam(), incremental, nullptr, nullptr);
-  const auto ref = run_churn(GetParam(), reference, nullptr, nullptr);
-  ASSERT_EQ(inc.size(), ref.size());
-  for (const auto& [index, completion] : inc) {
-    const auto it = ref.find(index);
-    ASSERT_NE(it, ref.end()) << "flow " << index;
-    EXPECT_DOUBLE_EQ(completion.at, it->second.at) << "flow " << index;
-    EXPECT_EQ(completion.bytes, it->second.bytes) << "flow " << index;
+  sim::Simulator sim(origin);
+  FluidEngine engine(sim, {.verify_allocator = true});
+  util::Rng rng(seed ^ 0x5eu);
+  std::map<FlowId, std::vector<CapacityProvider*>> active;
+  std::size_t largest = 0;
+  int completed = 0;
+  int cancelled = 0;
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const int kFlows = 64;
+  for (int i = 0; i < kFlows; ++i) {
+    Link* first = links[pick(links.size())].get();
+    std::vector<CapacityProvider*> route{first};
+    Duration rtt = first->rtt();
+    if (rng.uniform() < 0.5) {
+      std::vector<Link*> adjacent;
+      for (const auto& link : links) {
+        if (link.get() == first) continue;
+        if (link->site_a() == first->site_a() ||
+            link->site_a() == first->site_b() ||
+            link->site_b() == first->site_a() ||
+            link->site_b() == first->site_b()) {
+          adjacent.push_back(link.get());
+        }
+      }
+      if (!adjacent.empty()) {
+        Link* second = adjacent[pick(adjacent.size())];
+        route.push_back(second);
+        rtt += second->rtt();
+      }
+    }
+    const auto size = static_cast<Bytes>(rng.uniform(5e6, 4e8));
+    const auto streams = static_cast<int>(rng.uniform_int(1, 8));
+    const Duration start = rng.uniform(0.0, 60.0);
+    const bool cancel = rng.uniform() < 0.25;
+    const Duration cancel_after = rng.uniform(0.5, 20.0);
+    sim.schedule_after(start, [&, route, rtt, size, streams, cancel,
+                               cancel_after] {
+      const FlowId id = engine.start_flow(
+          {.links = route,
+           .tcp = topology->tcp(),
+           .base_rtt = rtt,
+           .streams = streams,
+           .size = size,
+           .on_complete = [&](const FlowStats& stats) {
+             active.erase(stats.id);
+             ++completed;
+           }});
+      active[id] = route;
+      largest = std::max(largest, largest_component(active));
+      if (cancel) {
+        sim.schedule_after(cancel_after, [&, id] {
+          if (engine.cancel_flow(id)) {
+            active.erase(id);
+            ++cancelled;
+          }
+        });
+      }
+    });
   }
-}
+  sim.run();
 
-TEST_P(AllocatorEquivalenceTest, LazyProgressMatchesEagerEndToEnd) {
-  EngineConfig eager;
-  EngineConfig lazy;
-  lazy.lazy_progress = true;
-  lazy.verify_allocator = true;
-
-  const auto eager_done = run_churn(GetParam(), eager, nullptr, nullptr);
-  FluidEngine::AllocStats stats;
-  std::string mismatch;
-  const auto lazy_done = run_churn(GetParam(), lazy, &stats, &mismatch);
-  EXPECT_EQ(stats.verify_mismatches, 0u) << mismatch;
-  ASSERT_EQ(lazy_done.size(), eager_done.size());
-  for (const auto& [index, completion] : lazy_done) {
-    const auto it = eager_done.find(index);
-    ASSERT_NE(it, eager_done.end()) << "flow " << index;
-    // Lazy mode re-times wakeups but must move the same bytes at the
-    // same rates: completions land within a time quantum.
-    EXPECT_NEAR(completion.at, it->second.at, 1e-5) << "flow " << index;
-    EXPECT_EQ(completion.bytes, it->second.bytes) << "flow " << index;
-  }
+  const auto& stats = engine.alloc_stats();
+  EXPECT_EQ(stats.verify_mismatches, 0u) << engine.first_mismatch();
+  EXPECT_GT(stats.reallocs, 0u);
+  EXPECT_GE(largest, 3u) << "no component with several flows formed";
+  EXPECT_EQ(completed + cancelled, kFlows);
+  EXPECT_EQ(engine.active_flows(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorEquivalenceTest,

@@ -180,7 +180,7 @@ TEST(HealthTest, EvaluationsCountRoundsNotRules) {
 TEST(HealthTest, BuiltinCatalogScalesWindowsFromTheScrapeInterval) {
   const double interval = 30.0;
   const auto rules = HealthMonitor::builtin_rules(interval);
-  ASSERT_GE(rules.size(), 8u);
+  ASSERT_EQ(rules.size(), 7u);
 
   bool saw_hit_rate = false, saw_fsync = false, saw_retry = false;
   for (const auto& rule : rules) {

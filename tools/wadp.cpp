@@ -169,7 +169,7 @@ int cmd_campaign(const util::ArgParser& args) {
 }
 
 /// Grid-scale fabric demo: seeded random topology, synthetic scenario,
-/// event core + incremental allocator in their lazy grid configuration.
+/// event core + incremental allocator.
 int cmd_simgrid(const util::ArgParser& args) {
   workload::GridSpec spec;
   spec.sites =
